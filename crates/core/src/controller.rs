@@ -701,7 +701,8 @@ impl Controller {
         self.commit(planned)
     }
 
-    /// Remove a previously deployed program (lazy removal + resource release).
+    /// Remove a previously deployed program: release its resources, uninstall
+    /// its snippets and delete its code from the device images.
     pub fn remove(&mut self, user: &str) -> Result<DeploymentDelta, ControllerError> {
         let deployment = self
             .deployments
@@ -1056,6 +1057,25 @@ mod tests {
         // resources were booked
         assert!(c.remaining_resource_ratio() <= ratio_before);
         assert_eq!(c.active_users(), vec!["kvs0"]);
+    }
+
+    #[test]
+    fn generated_device_programs_stay_bounded_under_churn() {
+        let mut c = controller();
+        let mut first: Option<BTreeMap<NodeId, usize>> = None;
+        for cycle in 0..200 {
+            let user = format!("cms{cycle:03}");
+            let t = count_min_sketch(&user, 3, 512);
+            let deployment =
+                c.deploy(ServiceRequest::from_template(t, &["pod0a"], "pod2b")).unwrap();
+            let lengths: BTreeMap<NodeId, usize> = deployment
+                .device_programs
+                .iter()
+                .map(|(device, program)| (*device, program.source.len()))
+                .collect();
+            assert_eq!(first.get_or_insert_with(|| lengths.clone()), &lengths, "cycle {cycle}");
+            c.remove(&user).unwrap();
+        }
     }
 
     #[test]

@@ -61,7 +61,8 @@ pub struct DevicePlane {
     /// carried).
     pub param_exports: Vec<String>,
     /// The install-time-compiled form of `snippets` (see [`crate::vm`]);
-    /// rebuilt on every install/uninstall, `None` while nothing is installed.
+    /// extended on install, rebuilt on uninstall, `None` while nothing is
+    /// installed.
     compiled: Option<CompiledImage>,
     /// The register file backing the compiled tier.
     regs: RegFile,
@@ -133,15 +134,26 @@ impl DevicePlane {
         self.param_exports = vars;
     }
 
-    /// Install a program snippet (declares its objects).
+    /// Install a program snippet (declares its objects).  Only the new
+    /// snippet is lowered: it is appended to the compiled image, so the cost
+    /// does not grow with what is already installed.
     pub fn install(&mut self, snippet: IrProgram) {
         for obj in &snippet.objects {
             self.store.declare(obj);
             // the first declaration of a name wins, matching install order
             self.object_kinds.entry(obj.name.clone()).or_insert_with(|| obj.kind.clone());
         }
-        self.snippets.push(snippet);
-        self.recompile();
+        match &mut self.compiled {
+            Some(image) if !image.has_undeclared_refs() => {
+                image.append(&snippet, &self.object_kinds, &self.store);
+                self.regs.grow(image.num_regs(), image.num_headers());
+                self.snippets.push(snippet);
+            }
+            _ => {
+                self.snippets.push(snippet);
+                self.recompile();
+            }
+        }
     }
 
     /// Remove every snippet owned by `owner` (matched against the snippet's
@@ -775,5 +787,67 @@ mod tests {
         assert!(!extracted.contains("mem"), "co-resident state is not extracted");
         // second extraction is a no-op
         assert!(plane.uninstall_extract("kvs").is_none());
+    }
+
+    /// Snippets for the append-lowering property: the fig13 templates, which
+    /// share variable and header names across tenants, plus a pair where one
+    /// snippet reads a table only the other declares, in either order.
+    fn snippet_pool() -> Vec<IrProgram> {
+        use clickinc_ir::{MatchKind, ProgramBuilder};
+        let compiled = |name: &str, source: &str| compile_source(name, source).unwrap();
+        let kvs = kvs_template("kvs", KvsParams { cache_depth: 64, ..Default::default() });
+        let cms = count_min_sketch("mon", 3, 128);
+        let agg = mlagg_template(
+            "agg",
+            MlAggParams { dims: 4, num_workers: 3, num_aggregators: 64, ..Default::default() },
+        );
+        let dq = dqacc_template("dq", DqAccParams::default());
+        let table_user = |name: &str, declared: bool| {
+            let mut b = ProgramBuilder::new(name);
+            b.table("late_tbl", MatchKind::Exact, 32, 32, 16, true);
+            b.get("late_v", "late_tbl", vec![Operand::hdr("key")]);
+            b.write("late_tbl", vec![Operand::hdr("key")], vec![Operand::int(1)]);
+            b.set_header("late", Operand::var("late_v"));
+            let mut program = b.build().unwrap();
+            if !declared {
+                program.objects.clear();
+            }
+            program
+        };
+        vec![
+            compiled("kvs", &kvs.source),
+            compiled("mon", &cms.source),
+            compiled("agg", &agg.source),
+            compiled("dq", &dq.source),
+            table_user("late", false),
+            table_user("decl", true),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Installing appends the new snippet to the compiled image; after any
+        /// install/uninstall sequence the image equals a from-scratch compile
+        /// of the installed snippets.
+        #[test]
+        fn appended_images_equal_a_full_compile(ops in proptest::collection::vec(0usize..12, 1..24)) {
+            let pool = snippet_pool();
+            let mut plane = DevicePlane::new("SW0", DeviceModel::tofino());
+            for op in ops {
+                if op < pool.len() {
+                    plane.install(pool[op].clone());
+                } else {
+                    plane.uninstall(&pool[op - pool.len()].name);
+                }
+                let full = vm::compile(&plane.snippets, &plane.object_kinds, &plane.store);
+                let image = plane.compiled_image();
+                proptest::prop_assert_eq!(image.is_some(), plane.has_program());
+                let image = image.cloned().unwrap_or_default();
+                proptest::prop_assert_eq!(image.dump(), full.dump());
+                proptest::prop_assert_eq!(image.num_regs(), full.num_regs());
+                proptest::prop_assert_eq!(image.num_headers(), full.num_headers());
+            }
+        }
     }
 }

@@ -1,7 +1,8 @@
 //! The register VM: the compiled execution tier of the data plane.
 //!
-//! [`compile`] lowers a device plane's installed snippets into a
-//! [`CompiledImage`] at install time: every variable becomes a dense register
+//! [`CompiledImage::append`] lowers each snippet a device plane installs onto
+//! the plane's [`CompiledImage`] at install time (and [`compile`] rebuilds the
+//! image from scratch on uninstall): every variable becomes a dense register
 //! index, every state object resolves to its [`ObjectStore`] slot, hash seeds
 //! and moduli become immediates, and the per-object kind dispatch the
 //! interpreter performs per packet (is this a table? a sketch?) is burned
@@ -208,6 +209,10 @@ impl CompiledProgram {
 /// The compiled form of every snippet installed on one device plane, sharing
 /// a single register namespace (the interpreter shares one `env` across all
 /// snippets of a packet, so variables of the same name must alias).
+///
+/// The image keeps the lowerer's register and header tables, so a new
+/// snippet is lowered onto the end of it ([`CompiledImage::append`]) without
+/// touching the snippets already compiled.
 #[derive(Debug, Clone, Default)]
 pub struct CompiledImage {
     programs: Vec<CompiledProgram>,
@@ -219,6 +224,13 @@ pub struct CompiledImage {
     /// Header index → field name (cache misses and header writes resolve
     /// the name here).
     header_names: Vec<String>,
+    /// Field name → header index.
+    header_ids: BTreeMap<String, u32>,
+    /// Whether some instruction referenced an object missing from the kind
+    /// index or the store when it was lowered.  Declaring that object later
+    /// would change how the instruction lowers, so such an image is rebuilt
+    /// with [`compile`] rather than appended to.
+    undeclared_refs: bool,
 }
 
 impl CompiledImage {
@@ -240,6 +252,47 @@ impl CompiledImage {
     /// The register assigned to a variable, if any instruction mentions it.
     pub fn register_of(&self, var: &str) -> Option<u32> {
         self.var_regs.get(var).copied()
+    }
+
+    /// Lower one snippet onto the end of the image.  Variables and header
+    /// fields the image already knows keep their registers and indices, new
+    /// ones get the next free ones, and store slots are never reused, so the
+    /// result is exactly what [`compile`] gives for all the snippets at once
+    /// — unless [`has_undeclared_refs`](CompiledImage::has_undeclared_refs).
+    pub fn append(
+        &mut self,
+        snippet: &IrProgram,
+        kinds: &BTreeMap<String, ObjectKind>,
+        store: &ObjectStore,
+    ) {
+        let mut lw = Lowerer { kinds, store, image: self };
+        let precondition = snippet
+            .precondition
+            .as_ref()
+            .map(|g| g.all.iter().map(|p| pred(&mut lw, p)).collect())
+            .unwrap_or_default();
+        let ops: Vec<VmInstr> = snippet
+            .instructions
+            .iter()
+            .map(|instr| VmInstr {
+                guard: instr
+                    .guard
+                    .as_ref()
+                    .map(|g| g.all.iter().map(|p| pred(&mut lw, p)).collect())
+                    .unwrap_or_default(),
+                op: lw.op(&instr.op),
+            })
+            .collect();
+        let blocks = form_blocks(ops);
+        self.programs.push(CompiledProgram { name: snippet.name.clone(), precondition, blocks });
+    }
+
+    /// Whether a compiled snippet references an object that was not
+    /// declared when it was lowered.  Appending to such an image is not
+    /// exact: a later declaration of the object would change that snippet's
+    /// lowering, so the plane recompiles instead.
+    pub fn has_undeclared_refs(&self) -> bool {
+        self.undeclared_refs
     }
 
     /// Render the whole compiled stream in a stable textual form — the golden
@@ -415,31 +468,36 @@ impl CompiledImage {
 struct Lowerer<'a> {
     kinds: &'a BTreeMap<String, ObjectKind>,
     store: &'a ObjectStore,
-    reg_names: Vec<String>,
-    var_regs: BTreeMap<String, u32>,
-    header_names: Vec<String>,
-    header_ids: BTreeMap<String, u32>,
+    image: &'a mut CompiledImage,
 }
 
 impl<'a> Lowerer<'a> {
     fn hdr(&mut self, field: &str) -> u32 {
-        if let Some(&h) = self.header_ids.get(field) {
+        if let Some(&h) = self.image.header_ids.get(field) {
             return h;
         }
-        let h = self.header_names.len() as u32;
-        self.header_names.push(field.to_string());
-        self.header_ids.insert(field.to_string(), h);
+        let h = self.image.header_names.len() as u32;
+        self.image.header_names.push(field.to_string());
+        self.image.header_ids.insert(field.to_string(), h);
         h
     }
 
     fn reg(&mut self, var: &str) -> u32 {
-        if let Some(&r) = self.var_regs.get(var) {
+        if let Some(&r) = self.image.var_regs.get(var) {
             return r;
         }
-        let r = self.reg_names.len() as u32;
-        self.reg_names.push(var.to_string());
-        self.var_regs.insert(var.to_string(), r);
+        let r = self.image.reg_names.len() as u32;
+        self.image.reg_names.push(var.to_string());
+        self.image.var_regs.insert(var.to_string(), r);
         r
+    }
+
+    /// Flag a reference to an object the kind index or the store does not
+    /// declare (see [`CompiledImage::has_undeclared_refs`]).
+    fn note(&mut self, object: &str) {
+        if !self.kinds.contains_key(object) || self.store.slot_of(object).is_none() {
+            self.image.undeclared_refs = true;
+        }
     }
 
     fn operand(&mut self, op: &Operand) -> VmOperand {
@@ -478,6 +536,9 @@ impl<'a> Lowerer<'a> {
     }
 
     fn op(&mut self, op: &OpCode) -> VmOp {
+        if let Some(object) = op.object() {
+            self.note(object);
+        }
         match op {
             OpCode::Assign { dest, src } => {
                 VmOp::Assign { dest: self.reg(dest), src: self.operand(src) }
@@ -597,49 +658,19 @@ impl<'a> Lowerer<'a> {
 }
 
 /// Compile every installed snippet against the plane's object-kind index and
-/// store slots.  Called at install time (and re-called on uninstall), never
-/// per packet.
+/// store slots: a fold of [`CompiledImage::append`] from the empty image.
+/// Called when a plane cannot append (on uninstall, or when
+/// [`CompiledImage::has_undeclared_refs`]), never per packet.
 pub fn compile(
     snippets: &[IrProgram],
     kinds: &BTreeMap<String, ObjectKind>,
     store: &ObjectStore,
 ) -> CompiledImage {
-    let mut lw = Lowerer {
-        kinds,
-        store,
-        reg_names: Vec::new(),
-        var_regs: BTreeMap::new(),
-        header_names: Vec::new(),
-        header_ids: BTreeMap::new(),
-    };
-    let mut programs = Vec::with_capacity(snippets.len());
+    let mut image = CompiledImage::default();
     for snippet in snippets {
-        let precondition = snippet
-            .precondition
-            .as_ref()
-            .map(|g| g.all.iter().map(|p| pred(&mut lw, p)).collect())
-            .unwrap_or_default();
-        let ops: Vec<VmInstr> = snippet
-            .instructions
-            .iter()
-            .map(|instr| VmInstr {
-                guard: instr
-                    .guard
-                    .as_ref()
-                    .map(|g| g.all.iter().map(|p| pred(&mut lw, p)).collect())
-                    .unwrap_or_default(),
-                op: lw.op(&instr.op),
-            })
-            .collect();
-        let blocks = form_blocks(ops);
-        programs.push(CompiledProgram { name: snippet.name.clone(), precondition, blocks });
+        image.append(snippet, kinds, store);
     }
-    CompiledImage {
-        programs,
-        reg_names: lw.reg_names,
-        var_regs: lw.var_regs,
-        header_names: lw.header_names,
-    }
+    image
 }
 
 /// Group the straight-line instruction stream into guard blocks.
@@ -748,6 +779,16 @@ impl RegFile {
         self.hdr_gen.clear();
         self.hdr_gen.resize(num_headers, 0);
         self.cur = 0;
+    }
+
+    /// Extend the file for an image that grew by an append.  Existing
+    /// registers keep their indices, and a new slot's zero stamp never
+    /// matches a packet generation, so nothing needs clearing.
+    pub fn grow(&mut self, num_regs: usize, num_headers: usize) {
+        self.regs.resize(num_regs, Value::None);
+        self.gen.resize(num_regs, 0);
+        self.hdr_vals.resize(num_headers, Value::None);
+        self.hdr_gen.resize(num_headers, 0);
     }
 
     fn begin_packet(&mut self) {

@@ -426,8 +426,10 @@ pub enum OpCode {
         /// Inputs folded into the checksum.
         inputs: Vec<Operand>,
     },
-    /// A no-op, used as a placeholder when instructions are lazily removed
-    /// (paper §6, lazy enforcement of program removal).
+    /// A no-op: marks an instruction whose last owner was removed (paper
+    /// §6, program removal) until [`IrProgram::compact`] deletes it.
+    ///
+    /// [`IrProgram::compact`]: crate::IrProgram::compact
     NoOp,
 }
 

@@ -213,7 +213,9 @@ impl IrProgram {
     }
 
     /// Remove instructions turned into [`OpCode::NoOp`] and renumber ids.
-    /// Used by the incremental-removal path of the synthesizer.
+    /// The synthesizer's incremental removal turns a departing tenant's
+    /// orphaned instructions into `NoOp`s and compacts every image it
+    /// touched, so a device image never carries a removed tenant's code.
     pub fn compact(&mut self) {
         self.instructions.retain(|i| !matches!(i.op, OpCode::NoOp));
         for (idx, i) in self.instructions.iter_mut().enumerate() {

@@ -3,11 +3,13 @@
 //!
 //! Each device's running image is a synthesized IR program whose instructions
 //! carry owner annotations.  Adding a user program touches only the devices the
-//! new program was placed on; removing one strips its annotations and deletes
-//! the instructions (and objects) that no longer have an owner — lazily, so the
-//! other tenants' traffic is never interrupted.  [`DeploymentDelta`] records
-//! which devices, co-resident INC programs and traffic (pods) each operation
-//! affected, which is exactly what Table 6 reports.
+//! new program was placed on; removing one strips its annotations, deletes the
+//! instructions and objects that no longer have an owner, and compacts the
+//! touched images (see [`IrProgram::compact`]), so an image only ever holds the
+//! base program plus its live snippets and its size does not grow with the
+//! deployment history.  [`DeploymentDelta`] records which devices, co-resident
+//! INC programs and traffic (pods) each operation affected, which is exactly
+//! what Table 6 reports.
 
 use crate::base::BaseProgram;
 use crate::merge::merge_programs;
@@ -147,9 +149,10 @@ pub fn add_user_program_monolithic(
     delta
 }
 
-/// Remove a user program from every image (lazy removal): its annotations are
-/// stripped, orphaned instructions become `NoOp`s (cleaned up on the next
-/// deployment), and its objects are released.
+/// Remove a user program from every image: its annotations are stripped, its
+/// objects are released, and the instructions it alone owned are deleted from
+/// each image it touched, whose instruction ids are then renumbered.  Images
+/// the user never touched are left exactly as they were.
 pub fn remove_user_program(
     images: &mut DeviceImages,
     user: &str,
@@ -163,7 +166,7 @@ pub fn remove_user_program(
             instr.owners.retain(|o| o != user);
             if instr.owners.len() != before {
                 touched = true;
-                if instr.owners.is_empty() && !instr.is_base_instruction_marker() {
+                if instr.owners.is_empty() {
                     instr.op = OpCode::NoOp;
                 }
             }
@@ -174,6 +177,7 @@ pub fn remove_user_program(
             touched = true;
         }
         if touched {
+            image.compact();
             delta.affected_devices.insert(*device);
             if let Some(Some(pod)) = pod_of.get(device) {
                 delta.affected_pods.insert(*pod);
@@ -190,7 +194,8 @@ pub fn remove_user_program(
 
 /// Extend an existing device image with a new snippet (incremental merge):
 /// the snippet is inserted before the base tail so the forwarding decision
-/// still runs last.
+/// still runs last.  Only the snippet and the instructions after it are
+/// touched; the rest of the image keeps its instructions and ids.
 fn extend_image(image: &mut IrProgram, snippet: &IrProgram) {
     for obj in &snippet.objects {
         if image.object(&obj.name).is_none() {
@@ -212,31 +217,9 @@ fn extend_image(image: &mut IrProgram, snippet: &IrProgram) {
                 .position(|i| matches!(i.op, OpCode::ReadState { .. } | OpCode::Forward))
                 .unwrap_or(image.instructions.len())
         });
-    let mut new_instrs = snippet.instructions.clone();
-    let mut all = Vec::with_capacity(image.instructions.len() + new_instrs.len());
-    all.extend_from_slice(&image.instructions[..tail_start]);
-    all.append(&mut new_instrs);
-    all.extend_from_slice(&image.instructions[tail_start..]);
-    for (idx, instr) in all.iter_mut().enumerate() {
+    image.instructions.splice(tail_start..tail_start, snippet.instructions.iter().cloned());
+    for (idx, instr) in image.instructions.iter_mut().enumerate().skip(tail_start) {
         instr.id = clickinc_ir::InstrId(idx as u32);
-    }
-    image.instructions = all;
-}
-
-/// Helper trait: the operator's own instructions are never removed by user
-/// revocation, even though they carry no owner annotation.
-trait BaseMarker {
-    fn is_base_instruction_marker(&self) -> bool;
-}
-
-impl BaseMarker for clickinc_ir::Instruction {
-    fn is_base_instruction_marker(&self) -> bool {
-        // base instructions never carried an owner in the first place; by the
-        // time removal runs, an instruction that *lost* its last owner is a user
-        // instruction, so this marker is only true for instructions that always
-        // were owner-less — which `remove_user_program` never reaches because it
-        // only touches instructions whose owner set changed.
-        false
     }
 }
 
@@ -363,7 +346,7 @@ mod tests {
         let delta = remove_user_program(&mut images, "kvs0", &s.pod_of);
         assert!(!delta.affected_devices.is_empty());
         for image in images.images.values() {
-            // kvs0 is gone (its instructions are NoOps and its objects removed)
+            // kvs0 is gone (its instructions and objects are deleted)
             assert!(!image.owners().contains("kvs0"));
             assert!(image.object("kvs0_cache").is_none());
             // cms1's state survives wherever it was placed
@@ -372,5 +355,59 @@ mod tests {
         // removing a non-existent user is a no-op
         let empty = remove_user_program(&mut images, "ghost", &s.pod_of);
         assert_eq!(empty.device_count(), 0);
+    }
+
+    /// Instructions of `plan` placed on `device`.
+    fn instrs_on(plan: &PlacementPlan, device: NodeId) -> usize {
+        plan.assignments
+            .iter()
+            .filter(|a| a.members.contains(&device))
+            .map(|a| a.instrs.len())
+            .sum()
+    }
+
+    #[test]
+    fn removal_compacts_images_back_to_the_live_snippets() {
+        let s = setup();
+        let base = base_program();
+        let resident = place_user(&s, "kvsr", 1, &["pod0a"], "pod2b");
+        let first = place_user(&s, "cmsa", 2, &["pod0a"], "pod2b");
+        let second = place_user(&s, "kvsb", 3, &["pod0a", "pod1a"], "pod2b");
+        let mut images = DeviceImages::default();
+        add_user_program(&mut images, &base, &resident.0, &resident.1, &s.pod_of);
+
+        // every image must equal one built from scratch by adding only the
+        // survivors, in their original order
+        let assert_bounded = |images: &DeviceImages, live: &[&(IrProgram, PlacementPlan)]| {
+            let mut fresh = DeviceImages::default();
+            for (prog, plan) in live {
+                add_user_program(&mut fresh, &base, prog, plan, &s.pod_of);
+            }
+            let empty = merge_programs(&base, &[]);
+            for (device, image) in &images.images {
+                assert!(
+                    image.instructions.iter().all(|i| !matches!(i.op, OpCode::NoOp)),
+                    "{}",
+                    image.dump()
+                );
+                let live_len: usize = live.iter().map(|(_, plan)| instrs_on(plan, *device)).sum();
+                assert_eq!(image.len(), base.len() + live_len);
+                let want = fresh.images.get(device).unwrap_or(&empty);
+                assert_eq!(image.instructions, want.instructions);
+                assert_eq!(image.objects, want.objects);
+            }
+        };
+
+        let mut first_deltas = None;
+        for _ in 0..50 {
+            add_user_program(&mut images, &base, &first.0, &first.1, &s.pod_of);
+            add_user_program(&mut images, &base, &second.0, &second.1, &s.pod_of);
+            let d1 = remove_user_program(&mut images, "cmsa", &s.pod_of);
+            assert_bounded(&images, &[&resident, &second]);
+            let d2 = remove_user_program(&mut images, "kvsb", &s.pod_of);
+            assert_bounded(&images, &[&resident]);
+            let counts = [&d1, &d2].map(|d| (d.device_count(), d.program_count(), d.pod_count()));
+            assert_eq!(*first_deltas.get_or_insert(counts), counts);
+        }
     }
 }

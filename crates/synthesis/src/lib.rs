@@ -21,9 +21,9 @@
 //!   between devices;
 //! * [`incremental`] — the annotation-based incremental compilation: adding a
 //!   user program annotates the instructions it contributes; removing one
-//!   strips its annotation and lazily deletes instructions that no longer have
-//!   any owner, without touching the other tenants (Table 6's comparison
-//!   against monolithic redeployment).
+//!   strips its annotation, deletes the instructions that no longer have any
+//!   owner and compacts the images it touched, without touching the other
+//!   tenants (Table 6's comparison against monolithic redeployment).
 
 pub mod base;
 pub mod incremental;
